@@ -529,6 +529,7 @@ impl Driver {
 // ---------------------------------------------------------------------------
 
 use crate::error::SolveError;
+use asyrgs_sparse::LinearOperator;
 
 /// Validate the shapes of a square-system solve `A x = b`.
 ///
@@ -661,24 +662,21 @@ pub fn ensure_finite_slice(
 }
 
 /// Reject non-finite stored matrix values at a solve boundary. The
-/// reported index is the row holding the first offending entry.
-pub fn ensure_finite_matrix<O: RowAccess>(solver: &'static str, a: &O) -> Result<(), SolveError> {
-    for i in 0..a.n_rows() {
-        let mut bad: Option<f64> = None;
-        a.visit_row(i, |_, v| {
-            if bad.is_none() && !v.is_finite() {
-                bad = Some(v);
-            }
-        });
-        if let Some(value) = bad {
-            return Err(SolveError::NonFiniteInput {
-                location: format!("{solver}: matrix values"),
-                index: i,
-                value,
-            });
-        }
+/// reported index is the row holding the first offending entry. A
+/// matrix-free operator stores no values and always passes (see
+/// [`LinearOperator::first_nonfinite`]).
+pub fn ensure_finite_matrix<O: LinearOperator + ?Sized>(
+    solver: &'static str,
+    a: &O,
+) -> Result<(), SolveError> {
+    match a.first_nonfinite() {
+        Some((index, value)) => Err(SolveError::NonFiniteInput {
+            location: format!("{solver}: matrix values"),
+            index,
+            value,
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// All finite-input checks of a square-system solve in one call: matrix

@@ -29,7 +29,7 @@
 
 use crate::precond::{IdentityPrecond, Preconditioner};
 use asyrgs_core::driver::{
-    ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
+    ensure_finite_matrix, ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
 };
 use asyrgs_core::error::SolveError;
 use asyrgs_core::report::SolveReport;
@@ -79,6 +79,7 @@ pub fn bicgstab_solve_in<O: LinearOperator + ?Sized, M: Preconditioner>(
     opts: &BicgstabOptions,
 ) -> Result<SolveReport, SolveError> {
     ensure_square_system("bicgstab_solve", a.n_rows(), a.n_cols(), b.len(), x.len())?;
+    ensure_finite_matrix("bicgstab_solve", a)?;
     ensure_finite_slice("bicgstab_solve", "right-hand side b", b)?;
     ensure_finite_slice("bicgstab_solve", "initial iterate x", x)?;
     let n = a.n_rows();

@@ -10,8 +10,8 @@
 //! recording through the shared [`asyrgs_core::driver`].
 
 use asyrgs_core::driver::{
-    ensure_finite_slice, ensure_square_block_system, ensure_square_system, Driver, Recording,
-    Solver, Termination,
+    ensure_finite_matrix, ensure_finite_slice, ensure_square_block_system, ensure_square_system,
+    Driver, Recording, Solver, Termination,
 };
 use asyrgs_core::error::SolveError;
 use asyrgs_core::report::SolveReport;
@@ -47,7 +47,8 @@ impl Default for CgOptions {
 ///
 /// # Errors
 /// Returns a [`SolveError`] (and leaves `x` untouched) if `A` is not
-/// square or empty, or `b`/`x` have mismatched lengths.
+/// square or empty, `b`/`x` have mismatched lengths, or `A`, `b` or `x`
+/// holds a non-finite value ([`SolveError::NonFiniteInput`]).
 pub fn cg_solve_in<O: LinearOperator + ?Sized>(
     ws: &mut SolveWorkspace,
     a: &O,
@@ -56,6 +57,7 @@ pub fn cg_solve_in<O: LinearOperator + ?Sized>(
     opts: &CgOptions,
 ) -> Result<SolveReport, SolveError> {
     ensure_square_system("cg_solve", a.n_rows(), a.n_cols(), b.len(), x.len())?;
+    ensure_finite_matrix("cg_solve", a)?;
     ensure_finite_slice("cg_solve", "right-hand side b", b)?;
     ensure_finite_slice("cg_solve", "initial iterate x", x)?;
     let n = a.n_rows();
@@ -158,7 +160,8 @@ impl Solver for CgOptions {
 ///
 /// # Errors
 /// Returns a [`SolveError`] (and leaves `X` untouched) if `A` is not
-/// square or empty, or the blocks do not conform.
+/// square or empty, the blocks do not conform, or `A`, `B` or `X` holds
+/// a non-finite value.
 pub fn try_cg_solve_block(
     a: &CsrMatrix,
     b: &RowMajorMat,
@@ -174,6 +177,7 @@ pub fn try_cg_solve_block(
         x.n_rows(),
         x.n_cols(),
     )?;
+    ensure_finite_matrix("cg_solve_block", a)?;
     ensure_finite_slice("cg_solve_block", "right-hand side B", b.as_slice())?;
     ensure_finite_slice("cg_solve_block", "initial iterate X", x.as_slice())?;
     let n = a.n_rows();

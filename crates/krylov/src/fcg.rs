@@ -23,7 +23,7 @@
 
 use crate::precond::Preconditioner;
 use asyrgs_core::driver::{
-    ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
+    ensure_finite_matrix, ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
 };
 use asyrgs_core::error::SolveError;
 use asyrgs_core::report::SolveReport;
@@ -68,7 +68,8 @@ impl Default for FcgOptions {
 ///
 /// # Errors
 /// Returns a [`SolveError`] (and leaves `x` untouched) if `A` is not
-/// square or empty, or `b`/`x` have mismatched lengths.
+/// square or empty, `b`/`x` have mismatched lengths, or `A`, `b` or `x`
+/// holds a non-finite value ([`SolveError::NonFiniteInput`]).
 ///
 /// # Panics
 /// Panics if the truncation depth is zero.
@@ -81,6 +82,7 @@ pub fn fcg_solve_in<O: LinearOperator + ?Sized, M: Preconditioner>(
     opts: &FcgOptions,
 ) -> Result<SolveReport, SolveError> {
     ensure_square_system("fcg_solve", a.n_rows(), a.n_cols(), b.len(), x.len())?;
+    ensure_finite_matrix("fcg_solve", a)?;
     ensure_finite_slice("fcg_solve", "right-hand side b", b)?;
     ensure_finite_slice("fcg_solve", "initial iterate x", x)?;
     assert!(opts.truncate >= 1, "truncation depth must be at least 1");

@@ -27,7 +27,7 @@
 
 use crate::precond::{IdentityPrecond, Preconditioner};
 use asyrgs_core::driver::{
-    ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
+    ensure_finite_matrix, ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
 };
 use asyrgs_core::error::SolveError;
 use asyrgs_core::report::SolveReport;
@@ -92,6 +92,7 @@ pub fn gmres_solve_in<O: LinearOperator + ?Sized, M: Preconditioner>(
     opts: &GmresOptions,
 ) -> Result<SolveReport, SolveError> {
     ensure_square_system("gmres_solve", a.n_rows(), a.n_cols(), b.len(), x.len())?;
+    ensure_finite_matrix("gmres_solve", a)?;
     ensure_finite_slice("gmres_solve", "right-hand side b", b)?;
     ensure_finite_slice("gmres_solve", "initial iterate x", x)?;
     assert!(opts.restart >= 1, "restart length must be at least 1");

@@ -460,28 +460,62 @@ impl CsrMatrix {
         }
     }
 
-    /// Check numerical symmetry to within `tol` (absolute).
+    /// Whether the matrix is symmetric to within `tol`: `false` iff it is
+    /// not square or some stored entry has `|a_ij - a_ji| > tol`, an absent
+    /// mirror counting as `0.0`. NaN never fails the comparison; non-finite
+    /// values are the finite-input checks' business.
+    ///
+    /// One pass over the rows in increasing order, O(nnz + n) time, one
+    /// `n`-length cursor array and no transpose. `cursor[j]` walks the
+    /// strict upper triangle of row `j`: the lower entry `(i, j)`, `j < i`,
+    /// moves it to column `i`, where the mirror `(j, i)` is if stored.
+    /// Upper entries a cursor steps over, or that are left after the last
+    /// row, have no mirror and are compared with `0.0`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if !self.is_square() {
             return false;
         }
-        let t = self.transpose();
-        if t.row_ptr != self.row_ptr || t.col_idx != self.col_idx {
-            // Structures differ; fall back to entrywise comparison.
-            for r in 0..self.n_rows {
-                let (cols, vals) = self.row(r);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    if (v - self.get(c, r)).abs() > tol {
+        let differs = |v: f64, w: f64| (v - w).abs() > tol;
+        let mut cursor = vec![0usize; self.n_rows];
+        for i in 0..self.n_rows {
+            let end = self.row_ptr[i + 1];
+            let mut k = self.row_ptr[i];
+            while k < end && self.col_idx[k] < i {
+                let j = self.col_idx[k];
+                let j_end = self.row_ptr[j + 1];
+                let mut p = cursor[j];
+                while p < j_end && self.col_idx[p] < i {
+                    if differs(self.vals[p], 0.0) {
                         return false;
                     }
+                    p += 1;
                 }
+                let mirror = if p < j_end && self.col_idx[p] == i {
+                    p += 1;
+                    self.vals[p - 1]
+                } else {
+                    0.0
+                };
+                if differs(self.vals[k], mirror) {
+                    return false;
+                }
+                cursor[j] = p;
+                k += 1;
             }
-            return true;
+            // The diagonal entry is its own mirror.
+            if k < end && self.col_idx[k] == i {
+                if differs(self.vals[k], self.vals[k]) {
+                    return false;
+                }
+                k += 1;
+            }
+            cursor[i] = k;
         }
-        self.vals
-            .iter()
-            .zip(&t.vals)
-            .all(|(a, b)| (a - b).abs() <= tol)
+        (0..self.n_rows).all(|j| {
+            self.vals[cursor[j]..self.row_ptr[j + 1]]
+                .iter()
+                .all(|&w| !differs(w, 0.0))
+        })
     }
 
     /// Extract the diagonal (zero where no entry is stored).
@@ -686,8 +720,8 @@ mod tests {
     #[test]
     fn symmetry_check_pattern_symmetric_values_not() {
         // Same sparsity pattern as its transpose (entries at (0,1) and
-        // (1,0) both stored), but the values disagree: this exercises the
-        // fast structural path, which must still compare values.
+        // (1,0) both stored), but the values disagree: every mirror is
+        // found, and the values must still be compared.
         let a = CsrMatrix::from_dense(3, 3, &[4.0, -1.0, 0.0, -2.0, 4.0, -1.0, 0.0, -1.0, 4.0]);
         let t = a.transpose();
         assert_eq!(a.row_ptr, t.row_ptr);
@@ -698,9 +732,9 @@ mod tests {
 
     #[test]
     fn symmetry_check_structurally_nonsymmetric() {
-        // Entry at (0,2) with no stored partner at (2,0): the structural
-        // fast path fails and the entrywise fallback must reject (the
-        // implicit zero at (2,0) differs from 5.0 by more than tol).
+        // Entry at (0,2) with no stored partner at (2,0): the cursor of
+        // row 0 is left holding it, and the implicit zero at (2,0) differs
+        // from 5.0 by more than tol.
         let a = CsrMatrix::from_dense(3, 3, &[1.0, 0.0, 5.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
         assert!(!a.is_symmetric(1e-9));
         assert!(a.is_symmetric(5.0 + 1e-12));

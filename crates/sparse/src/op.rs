@@ -108,6 +108,31 @@ pub trait LinearOperator {
         self.matvec_into(x, scratch);
         dense::dot(scratch, x).max(0.0).sqrt()
     }
+
+    /// The first stored value that is not finite, as `(row, value)`, or
+    /// `None`. This is what the solvers' finite-input checks read, so
+    /// the product-only Krylov entry points can reject a NaN matrix too.
+    ///
+    /// The default is `None`: a matrix-free operator stores no values.
+    /// Every [`RowAccess`] backend overrides it with
+    /// [`first_nonfinite_in_rows`].
+    fn first_nonfinite(&self) -> Option<(usize, f64)> {
+        None
+    }
+}
+
+/// [`LinearOperator::first_nonfinite`] for any [`RowAccess`] backend: the
+/// first non-finite value in row order, read through `visit_row`.
+pub fn first_nonfinite_in_rows<O: RowAccess + ?Sized>(a: &O) -> Option<(usize, f64)> {
+    (0..a.n_rows()).find_map(|i| {
+        let mut bad = None;
+        a.visit_row(i, |_, v| {
+            if bad.is_none() && !v.is_finite() {
+                bad = Some((i, v));
+            }
+        });
+        bad
+    })
 }
 
 /// Per-row access for Gauss-Seidel-style kernels.
@@ -115,6 +140,10 @@ pub trait LinearOperator {
 /// `visit_row` is generic over the visitor closure so that solvers
 /// monomorphize to direct loops; the provided `row_dot` is the single-row
 /// inner product every coordinate update needs.
+///
+/// Implementors should also override [`LinearOperator::first_nonfinite`]
+/// (the default there is the matrix-free `None`), typically with
+/// [`first_nonfinite_in_rows`].
 pub trait RowAccess: LinearOperator {
     /// Visit the stored `(column, value)` entries of row `i`, in increasing
     /// column order.
@@ -163,6 +192,34 @@ pub trait RowAccess: LinearOperator {
         });
         out
     }
+
+    /// Whether the operator is symmetric to within `tol`: `false` iff it
+    /// is not square or some stored entry has `|a_ij - a_ji| > tol`, an
+    /// absent mirror counting as `0.0`. This is the admission check behind
+    /// every "requires a symmetric operator" gate.
+    ///
+    /// The comparison is `>`, so a NaN entry never fails it: rejecting
+    /// non-finite values is the finite-input checks' job, which keeps one
+    /// verdict (`NonFiniteInput`) for a NaN matrix on every entry point.
+    ///
+    /// The default pairs each stored entry with a
+    /// [`row_entry`](Self::row_entry) lookup of its mirror and exits on the
+    /// first violation; [`CsrMatrix`] overrides it with a single
+    /// O(nnz + n) cursor pass ([`CsrMatrix::is_symmetric`]).
+    fn is_symmetric(&self, tol: f64) -> bool {
+        if self.n_rows() != self.n_cols() {
+            return false;
+        }
+        (0..self.n_rows()).all(|i| {
+            let mut ok = true;
+            self.visit_row(i, |j, v| {
+                if ok && (v - self.row_entry(j, i)).abs() > tol {
+                    ok = false;
+                }
+            });
+            ok
+        })
+    }
 }
 
 impl LinearOperator for CsrMatrix {
@@ -186,6 +243,10 @@ impl LinearOperator for CsrMatrix {
         assert!(self.is_square(), "diag: matrix must be square");
         out.clear();
         out.extend((0..CsrMatrix::n_rows(self)).map(|i| self.get(i, i)));
+    }
+
+    fn first_nonfinite(&self) -> Option<(usize, f64)> {
+        first_nonfinite_in_rows(self)
     }
 }
 
@@ -212,6 +273,10 @@ impl RowAccess for CsrMatrix {
     fn row_entry(&self, i: usize, j: usize) -> f64 {
         CsrMatrix::get(self, i, j)
     }
+
+    fn is_symmetric(&self, tol: f64) -> bool {
+        CsrMatrix::is_symmetric(self, tol)
+    }
 }
 
 impl LinearOperator for RowMajorMat {
@@ -234,6 +299,10 @@ impl LinearOperator for RowMajorMat {
     fn diag(&self) -> Vec<f64> {
         assert!(self.is_square(), "diag: matrix must be square");
         (0..self.n_rows()).map(|i| self.get(i, i)).collect()
+    }
+
+    fn first_nonfinite(&self) -> Option<(usize, f64)> {
+        first_nonfinite_in_rows(self)
     }
 }
 
@@ -267,6 +336,10 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn diag_into(&self, out: &mut Vec<f64>) {
         (**self).diag_into(out)
     }
+
+    fn first_nonfinite(&self) -> Option<(usize, f64)> {
+        (**self).first_nonfinite()
+    }
 }
 
 impl<T: RowAccess> RowAccess for &T {
@@ -288,6 +361,10 @@ impl<T: RowAccess> RowAccess for &T {
 
     fn row_entry(&self, i: usize, j: usize) -> f64 {
         (**self).row_entry(i, j)
+    }
+
+    fn is_symmetric(&self, tol: f64) -> bool {
+        (**self).is_symmetric(tol)
     }
 }
 

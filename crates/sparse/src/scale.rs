@@ -13,7 +13,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
-use crate::op::{LinearOperator, RowAccess};
+use crate::op::{first_nonfinite_in_rows, LinearOperator, RowAccess};
 
 /// The result of rescaling an SPD matrix `B` to unit diagonal.
 ///
@@ -193,6 +193,11 @@ impl LinearOperator for UnitDiagonalView<'_> {
             .zip(&self.d)
             .map(|(&v, &di)| v * (di * di))
             .collect()
+    }
+
+    fn first_nonfinite(&self) -> Option<(usize, f64)> {
+        // The rescaled values, not `b`'s: `b_ij * d_i * d_j` can overflow.
+        first_nonfinite_in_rows(self)
     }
 }
 

@@ -20,7 +20,7 @@
 //!   purely as a layout/performance choice.
 
 use crate::csr::CsrMatrix;
-use crate::op::{LinearOperator, RowAccess};
+use crate::op::{first_nonfinite_in_rows, LinearOperator, RowAccess};
 
 /// Chunk height `C`: rows per SELL chunk (one AVX-512-of-f64 / two
 /// NEON-of-f64 lanes' worth of output accumulators).
@@ -225,6 +225,10 @@ impl LinearOperator for SellMatrix {
     fn diag(&self) -> Vec<f64> {
         assert!(self.is_square(), "diag: matrix must be square");
         (0..self.n_rows).map(|i| self.row_entry(i, i)).collect()
+    }
+
+    fn first_nonfinite(&self) -> Option<(usize, f64)> {
+        first_nonfinite_in_rows(self)
     }
 }
 

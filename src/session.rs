@@ -223,30 +223,6 @@ pub enum PrecondSpec {
 /// "symmetric" means, or the policy could pick a family the gate rejects.
 pub const SYMMETRY_TOL: f64 = asyrgs_core::policy::SYMMETRY_TOL;
 
-/// Whether a square operator is symmetric to an absolute entrywise
-/// tolerance — the admission check behind
-/// [`SolverFamily::requires_symmetric`]. Works on any row-access
-/// backend; for a [`CsrMatrix`] it is equivalent to
-/// [`CsrMatrix::is_symmetric`]. Early-exits on the first violating
-/// entry.
-pub fn operator_is_symmetric<O: RowAccess + ?Sized>(a: &O, tol: f64) -> bool {
-    if a.n_rows() != a.n_cols() {
-        return false;
-    }
-    for i in 0..a.n_rows() {
-        let mut ok = true;
-        a.visit_row(i, |j, v| {
-            if ok && (v - a.row_entry(j, i)).abs() > tol {
-                ok = false;
-            }
-        });
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
-
 /// The symmetric part `(A + A^T) / 2` of a square operator, as a fresh
 /// CSR matrix — the inner system the RGS/AsyRGS preconditioners sweep on
 /// when the outer Krylov method (BiCGSTAB/GMRES) targets a nonsymmetric
@@ -997,6 +973,7 @@ impl SolveSession {
         b: &[f64],
         x: &mut [f64],
     ) -> Result<SolveReport, SolveError> {
+        self.admit("solve", a)?;
         self.solve_inner(a, b, x, None)
     }
 
@@ -1013,27 +990,23 @@ impl SolveSession {
         x: &mut [f64],
         x_star: &[f64],
     ) -> Result<SolveReport, SolveError> {
+        self.admit("solve", a)?;
         self.solve_inner(a, b, x, Some(x_star))
     }
 
-    fn solve_inner<O: RowAccess + Sync>(
-        &mut self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-        x_star: Option<&[f64]>,
-    ) -> Result<SolveReport, SolveError> {
-        // Admission: the symmetric-theory families reject nonsymmetric
-        // square operators with a typed error (and an untouched `x`)
-        // instead of silently diverging. Only square operators are
-        // checked here — non-square ones fall through to the per-family
-        // dimension validation, which owns that message.
+    /// Admission: the symmetric-theory families reject nonsymmetric
+    /// square operators with a typed error (and an untouched `x`) instead
+    /// of silently diverging. Non-square operators pass — the per-family
+    /// dimension validation owns that message. This is the one symmetry
+    /// check per call ([`RowAccess::is_symmetric`]; for a CSR matrix a
+    /// single O(nnz + n) pass).
+    fn admit<O: RowAccess>(&self, solver: &'static str, a: &O) -> Result<(), SolveError> {
         if self.config.family.requires_symmetric()
             && a.n_rows() == a.n_cols()
-            && !operator_is_symmetric(a, SYMMETRY_TOL)
+            && !a.is_symmetric(SYMMETRY_TOL)
         {
             return Err(SolveError::DimensionMismatch {
-                solver: "solve",
+                solver,
                 detail: format!(
                     "family '{}' requires a symmetric operator, but A != A^T; \
                      use the bicgstab or gmres family for nonsymmetric systems",
@@ -1041,6 +1014,18 @@ impl SolveSession {
                 ),
             });
         }
+        Ok(())
+    }
+
+    /// The solve behind `solve`/`solve_with_reference`/`solve_many`, after
+    /// [`admit`](Self::admit).
+    fn solve_inner<O: RowAccess + Sync>(
+        &mut self,
+        a: &O,
+        b: &[f64],
+        x: &mut [f64],
+        x_star: Option<&[f64]>,
+    ) -> Result<SolveReport, SolveError> {
         // Recovery only applies to the watchdog-aware families; for the
         // rest (and with recovery off) this is exactly one dispatch.
         let watchdog_aware = matches!(
@@ -1276,16 +1261,7 @@ impl SolveSession {
                 detail: format!("matrix must be square, got {} x {}", a.n_rows(), a.n_cols()),
             });
         }
-        if self.config.family.requires_symmetric() && !a.is_symmetric(SYMMETRY_TOL) {
-            return Err(SolveError::DimensionMismatch {
-                solver: "solve_many",
-                detail: format!(
-                    "family '{}' requires a symmetric operator, but A != A^T; \
-                     use the bicgstab or gmres family for nonsymmetric systems",
-                    self.config.family.name()
-                ),
-            });
-        }
+        self.admit("solve_many", a)?;
         let n = a.n_rows();
         for (i, (b, x)) in bs.iter().zip(xs.iter()).enumerate() {
             if b.len() != n || x.len() != a.n_cols() {

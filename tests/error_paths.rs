@@ -488,3 +488,62 @@ fn session_surfaces_the_same_variants() {
     ));
     let _ = b;
 }
+
+// ---------------------------------------------------------------------------
+// A NaN matrix gets one verdict on every entry point
+// ---------------------------------------------------------------------------
+
+/// 3x3 SPD matrices with a non-finite stored value, and the row that
+/// holds it: NaN at the mirrored pair (0,1)/(1,0), and +Inf on the
+/// diagonal at (2,2). The symmetry admission check lets NaN through (it
+/// compares with `>`), so the family's finite-input check must reject it.
+fn non_finite_matrices() -> [(CsrMatrix, usize); 2] {
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    [
+        (
+            CsrMatrix::from_dense(3, 3, &[4.0, nan, 0.0, nan, 4.0, 1.0, 0.0, 1.0, 4.0]),
+            0,
+        ),
+        (
+            CsrMatrix::from_dense(3, 3, &[4.0, 1.0, 0.0, 1.0, 4.0, 1.0, 0.0, 1.0, inf]),
+            2,
+        ),
+    ]
+}
+
+#[test]
+fn non_finite_matrix_is_non_finite_input_on_solve_and_solve_many() {
+    let b = vec![1.0; 3];
+    for (a, row) in non_finite_matrices() {
+        for family in SolverFamily::ALL.into_iter().filter(|f| !f.is_lsq()) {
+            let mut session = SolverBuilder::new(family)
+                .threads(1)
+                .term(Termination::sweeps(20).with_target(1e-8))
+                .build()
+                .unwrap();
+            let mut x = vec![SENTINEL; 3];
+            let err = session.solve(&a, &b, &mut x).unwrap_err();
+            assert!(
+                matches!(err, SolveError::NonFiniteInput { index, .. } if index == row),
+                "{} solve: {err:?}",
+                family.name()
+            );
+            assert!(untouched(&x), "{} solve: x was written", family.name());
+
+            let (mut x1, mut x2) = (vec![SENTINEL; 3], vec![SENTINEL; 3]);
+            let err = session
+                .solve_many(&a, &[&b, &b], &mut [&mut x1, &mut x2])
+                .unwrap_err();
+            assert!(
+                matches!(err, SolveError::NonFiniteInput { index, .. } if index == row),
+                "{} solve_many: {err:?}",
+                family.name()
+            );
+            assert!(
+                untouched(&x1) && untouched(&x2),
+                "{} solve_many: x was written",
+                family.name()
+            );
+        }
+    }
+}

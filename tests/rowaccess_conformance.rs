@@ -1,7 +1,8 @@
 //! `RowAccess` backend conformance: for the same logical matrix, the CSR,
 //! dense `RowMajorMat`, and zero-copy `UnitDiagonalView` backends must
 //! agree **bitwise** on every trait surface the solvers touch —
-//! `visit_row`, `row_nnz`, `row_dot`, and `row_entry` — including the
+//! `visit_row`, `row_nnz`, `row_dot`, `row_entry`, `is_symmetric` and
+//! `first_nonfinite` — including the
 //! ragged, empty-row, and single-entry shapes the generators never emit
 //! but callers can.
 //!
@@ -12,7 +13,8 @@
 mod common;
 
 use asyrgs::sparse::{
-    CooBuilder, CsrMatrix, RowAccess, RowMajorMat, SellMatrix, UnitDiagonal, UnitDiagonalView,
+    CooBuilder, CsrMatrix, LinearOperator, RowAccess, RowMajorMat, SellMatrix, UnitDiagonal,
+    UnitDiagonalView,
 };
 
 /// Deterministic dense probe vector with mixed signs and magnitudes.
@@ -55,6 +57,19 @@ fn assert_conformant<A: RowAccess, B: RowAccess>(a: &A, b: &B, label: &str) {
                 "{label}: row_entry({i},{j})"
             );
         }
+    }
+    let bits = |e: Option<(usize, f64)>| e.map(|(i, v)| (i, v.to_bits()));
+    assert_eq!(
+        bits(a.first_nonfinite()),
+        bits(b.first_nonfinite()),
+        "{label}: first_nonfinite"
+    );
+    for tol in [0.0, 1e-12, 1.0] {
+        assert_eq!(
+            a.is_symmetric(tol),
+            b.is_symmetric(tol),
+            "{label}: is_symmetric({tol})"
+        );
     }
 }
 
@@ -194,4 +209,34 @@ fn scenario_backends_conform() {
             assert_conformant(&built.a, &dense, sc.name);
         }
     }
+}
+
+#[test]
+fn every_backend_reports_the_same_non_finite_entry() {
+    let mut coo = CooBuilder::new(4, 4);
+    for i in 0..4 {
+        coo.push(i, i, 4.0).unwrap();
+    }
+    coo.push(1, 2, f64::INFINITY).unwrap();
+    coo.push(2, 1, f64::NAN).unwrap();
+    coo.push(3, 0, f64::NAN).unwrap();
+    let m = coo.to_csr();
+    let d = RowMajorMat::from_vec(4, 4, m.to_dense());
+    assert_conformant(&m, &d, "non-finite csr-vs-dense");
+    assert_conformant(&m, &SellMatrix::from(&m), "non-finite csr-vs-sell");
+    assert_conformant(&m, &&m, "non-finite csr-vs-&csr");
+    let (row, value) = m.first_nonfinite().expect("stored NaN/Inf");
+    assert_eq!((row, value), (1, f64::INFINITY));
+}
+
+#[test]
+fn view_reports_values_that_overflow_when_rescaled() {
+    // B is finite, but d = 1/sqrt(diag) ~ 3e154 makes the rescaled
+    // off-diagonal b_01 * d_0 * d_1 overflow: the view must report the
+    // value solvers would actually read.
+    let tiny = 1e-310;
+    let b = CsrMatrix::from_dense(2, 2, &[tiny, 1.0, 1.0, tiny]);
+    assert_eq!(b.first_nonfinite(), None);
+    let view = UnitDiagonalView::new(&b).expect("positive diagonal");
+    assert_eq!(view.first_nonfinite(), Some((0, f64::INFINITY)));
 }
